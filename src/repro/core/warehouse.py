@@ -555,25 +555,38 @@ def manifest_path(directory: Union[str, Path]) -> Path:
     return Path(directory) / MANIFEST_NAME
 
 
-def read_warehouse_manifest(
-    directory: Union[str, Path],
-) -> WarehouseManifest:
-    """Load the manifest of a warehouse directory."""
+def read_warehouse_manifest_bytes(directory: Union[str, Path]) -> bytes:
+    """The raw manifest bytes of a warehouse directory."""
     path = manifest_path(directory)
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        return path.read_bytes()
     except OSError as exc:
         raise WarehouseError(
             f"cannot read warehouse manifest {path}: {exc} "
             f"(is {directory} a warehouse? build one with "
             f"`repro-gps warehouse build`)"
         ) from None
+
+
+def parse_warehouse_manifest(raw: bytes, source: str) -> WarehouseManifest:
+    """A :class:`WarehouseManifest` from manifest bytes read at ``source``."""
+    try:
+        payload = json.loads(raw.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise WarehouseError(
-            f"warehouse manifest {path} is not valid JSON: {exc}"
+            f"warehouse manifest {source} is not valid JSON: {exc}"
         ) from None
-    return payload_to_manifest(payload, source=str(path))
+    return payload_to_manifest(payload, source=source)
+
+
+def read_warehouse_manifest(
+    directory: Union[str, Path],
+) -> WarehouseManifest:
+    """Load the manifest of a warehouse directory."""
+    return parse_warehouse_manifest(
+        read_warehouse_manifest_bytes(directory),
+        str(manifest_path(directory)),
+    )
 
 
 def _publish_manifest(
@@ -850,6 +863,16 @@ class FrameCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
         return dframe
+
+    def reserve(self, count: int) -> None:
+        """Grow the capacity to at least ``count`` frames (never shrink).
+
+        A reader that merges every frame on each load walks the files
+        in manifest order; an LRU smaller than that walk evicts each
+        frame just before it is needed again.
+        """
+        with self._lock:
+            self.capacity = max(self.capacity, count)
 
     def __len__(self) -> int:
         with self._lock:

@@ -11,15 +11,22 @@ serialisation, so equal means equal IEEE doubles, not "close".
 
 Around it: the query semantics of all six kinds, the contradictory-ask
 matrix (every bad request is a :class:`QueryError`, never a
-traceback), the stdlib HTTP surface, and the concurrency satellite —
-reader threads hammering mixed queries while a writer appends a shard
-must only ever observe complete, canonical warehouse states.
+traceback), the stdlib HTTP surface (including keep-alive latency and
+the malformed-request edges), the manifest memo and frame-cache
+sizing, and the concurrency satellite — reader threads hammering mixed
+queries while a writer appends a shard must only ever observe
+complete, canonical warehouse states.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -32,6 +39,7 @@ from repro.area.footprint import Footprint, MountKind
 from repro.area.substrate import PCB_RULE
 from repro.core.figure_of_merit import FomWeights
 from repro.core.methodology import CandidateBuildUp
+from repro.core import queryservice
 from repro.core.queryservice import (
     QUERY_KINDS,
     QueryError,
@@ -50,6 +58,7 @@ from repro.core.warehouse import (
     decision_frame_for_cells,
     init_warehouse,
     load_warehouse,
+    manifest_path,
 )
 from repro.cost.moe.flow import ProductionFlow
 from repro.cost.moe.nodes import CarrierStep, TestStep
@@ -438,6 +447,159 @@ class TestHttpSurface:
             urllib.request.urlopen(f"http://{host}:{port}/pareto")
         assert excinfo.value.code == 404
 
+    @staticmethod
+    def _connection(server) -> http.client.HTTPConnection:
+        host, port = server.server_address[:2]
+        return http.client.HTTPConnection(host, port, timeout=30)
+
+    @staticmethod
+    def _ask(connection, request) -> http.client.HTTPResponse:
+        connection.request(
+            "POST",
+            "/query",
+            body=json.dumps(request).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        return connection.getresponse()
+
+    @staticmethod
+    def _raw_exchange(server, request: bytes) -> bytes:
+        """Send raw bytes; everything the server writes until it closes."""
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return b"".join(chunks)
+                chunks.append(chunk)
+
+    def test_keep_alive_queries_beat_the_delayed_ack_floor(
+        self, server, service
+    ):
+        # urllib closes the connection after every request, so only a
+        # reused socket can show a head/body split stalled by Nagle's
+        # algorithm until the client's ~40 ms delayed ACK.
+        mix = (
+            {"kind": "manifest"},
+            {"kind": "pareto", "where": {"volume": 1e4}},
+            {"kind": "rerank", "fom_weights": "2:1:0.5"},
+            {"kind": "winners"},
+            {"kind": "best", "fom_weights": "1:2:1"},
+            {
+                "kind": "sensitivity",
+                "axis": "volume",
+                "where": {"weights": "paper"},
+            },
+        )
+        connection = self._connection(server)
+        latencies = []
+        try:
+            sock = None
+            for request in mix * 5:
+                began = time.perf_counter()
+                response = self._ask(connection, request)
+                body = response.read()
+                latencies.append(time.perf_counter() - began)
+                assert response.status == 200
+                assert body == response_bytes(service.execute(request))
+                sock = sock or connection.sock
+                assert connection.sock is sock, "connection not reused"
+        finally:
+            connection.close()
+        assert len(latencies) == 30
+        assert statistics.median(latencies) < 0.020, latencies
+
+    def test_response_head_keeps_the_stdlib_layout(self, server, service):
+        data = self._raw_exchange(
+            server,
+            b"GET /manifest HTTP/1.1\r\nHost: x\r\n"
+            b"Connection: close\r\n\r\n",
+        )
+        head, _, body = data.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0] == b"HTTP/1.1 200 OK"
+        names = [line.split(b":", 1)[0] for line in lines[1:]]
+        assert names == [
+            b"Server",
+            b"Date",
+            b"Content-Type",
+            b"Content-Length",
+        ]
+        assert body == response_bytes(service.execute({"kind": "manifest"}))
+
+    def test_http_0_9_gets_the_body_alone(self, server, service):
+        body = self._raw_exchange(server, b"GET /manifest\r\n\r\n")
+        assert body == response_bytes(service.execute({"kind": "manifest"}))
+
+    def test_unexpected_errors_are_http_500_and_keep_the_connection(
+        self, server, service, capsys, monkeypatch
+    ):
+        # On a GPS warehouse, weights such as 1e308:1e308:1e308
+        # overflow the scalar pow kernel: not a QueryError, but the
+        # client must still get an answer.
+        def overflowing(dframe, weights):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(queryservice, "rerank_frame", overflowing)
+        connection = self._connection(server)
+        try:
+            response = self._ask(
+                connection, {"kind": "best", "fom_weights": "7:1:1"}
+            )
+            body = response.read()
+            assert response.status == 500
+            payload = json.loads(body)
+            assert body == response_bytes(payload)
+            assert payload["error"].startswith(
+                "internal error: OverflowError"
+            )
+            sock = connection.sock
+            response = self._ask(connection, {"kind": "winners"})
+            assert response.status == 200
+            assert response.read() == response_bytes(
+                service.execute({"kind": "winners"})
+            )
+            assert connection.sock is sock
+        finally:
+            connection.close()
+        stderr = capsys.readouterr().err
+        assert "Traceback" in stderr and "OverflowError" in stderr
+
+    @pytest.mark.parametrize("declared", [b"-1", b"abc", b"1.5", b"+3"])
+    def test_malformed_content_length_is_http_400_and_closes(
+        self, server, declared
+    ):
+        # The body is never read: the server answers and hangs up
+        # rather than block on it or parse it as the next request.
+        data = self._raw_exchange(
+            server,
+            b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + declared
+            + b"\r\n\r\n"
+            + b'{"kind": "winners"}',
+        )
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_post_to_an_unknown_path_closes_with_the_body_unread(
+        self, server
+    ):
+        # Kept open, the unread body would be parsed as the next
+        # request line and draw a second, stray response.
+        data = self._raw_exchange(
+            server,
+            b"POST /pareto HTTP/1.1\r\nHost: x\r\nContent-Length: 5"
+            b"\r\n\r\nhello",
+        )
+        assert data.count(b"HTTP/1.1 ") == 1
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 404 ")
+        assert json.loads(body) == {"error": "unknown path '/pareto'"}
+
 
 class TestConcurrentAppendAndQuery:
     """The torn-state satellite: readers during a writer append."""
@@ -523,6 +685,153 @@ class TestConcurrentAppendAndQuery:
         # After the append every new query reports the full grid.
         final = response_bytes(service.execute({"kind": "winners"}))
         assert final == after["winners"]
+
+
+def partly_published(directory, frames: int, published: int) -> list:
+    """A warehouse of one-point frames with ``published`` appended.
+
+    Returns the artifacts not yet appended.
+    """
+    grid = SweepGrid(volumes=tuple(1e3 * (k + 1) for k in range(frames)))
+    artifacts = [
+        run_shard(grid, fixed_candidates, shards=frames, shard_index=i)
+        for i in range(frames)
+    ]
+    init_warehouse(directory, grid)
+    for artifact in artifacts[:published]:
+        append_shard_artifact(directory, artifact)
+    return artifacts[published:]
+
+
+class TestManifestMemo:
+    """The manifest file is read per query but parsed once per change."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls: list = []
+        original = queryservice.parse_warehouse_manifest
+
+        def counting(raw, source):
+            calls.append(source)
+            return original(raw, source)
+
+        monkeypatch.setattr(
+            queryservice, "parse_warehouse_manifest", counting
+        )
+        return calls
+
+    @pytest.fixture
+    def growing(self, tmp_path):
+        """A warehouse holding 3 of 4 frames, plus the 4th artifact."""
+        (last,) = partly_published(tmp_path, frames=4, published=3)
+        return tmp_path, last
+
+    def test_unchanged_bytes_do_not_reparse(self, warehouse_dir, parses):
+        fresh = QueryService(warehouse_dir)
+        first = response_bytes(fresh.execute({"kind": "winners"}))
+        for _ in range(4):
+            assert response_bytes(
+                fresh.execute({"kind": "winners"})
+            ) == first
+        fresh.execute({"kind": "manifest"})
+        assert len(parses) == 1
+
+    def test_changed_bytes_are_visible_at_the_next_query(
+        self, growing, parses
+    ):
+        directory, last = growing
+        fresh = QueryService(directory)
+        before = fresh.execute({"kind": "manifest"})
+        append_shard_artifact(directory, last)
+        after = fresh.execute({"kind": "manifest"})
+        assert after["revision"] == before["revision"] + 1
+        assert after["complete"] and not before["complete"]
+        assert len(parses) == 2
+        assert response_bytes(after) == response_bytes(
+            QueryService(directory).execute({"kind": "manifest"})
+        )
+
+    def test_memo_never_pairs_a_manifest_with_other_bytes_under_stress(
+        self, tmp_path
+    ):
+        # More reader threads than cores and a tiny switch interval:
+        # a memo that served a manifest parsed from older bytes would
+        # show up as a revision going backwards within one thread.
+        pending = partly_published(tmp_path, frames=6, published=1)
+        service = QueryService(tmp_path)
+        done = threading.Event()
+        failures: list = []
+
+        def read():
+            last = 0
+            while not done.is_set():
+                manifest = service.manifest()
+                if manifest.revision < last:
+                    failures.append((last, manifest.revision))
+                if manifest.revision != len(manifest.frames) + 1:
+                    failures.append(("torn", manifest.revision))
+                last = manifest.revision
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=read) for _ in range(6)]
+        try:
+            for thread in threads:
+                thread.start()
+            for artifact in pending:
+                append_shard_artifact(tmp_path, artifact)
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:5]
+        assert service.manifest().revision == 7
+
+    def test_corrupt_manifest_is_the_same_http_500(self, growing):
+        directory, _ = growing
+        server = serve_warehouse(directory)
+        thread = threading.Thread(
+            target=server.serve_forever, daemon=True
+        )
+        thread.start()
+        host, port = server.server_address[:2]
+        try:
+            # A good manifest is memoised first; the torn bytes must
+            # still be parsed (and refused), never served from the memo.
+            server.service.execute({"kind": "winners"})
+            manifest_path(directory).write_bytes(b"not json")
+            request = urllib.request.Request(
+                f"http://{host}:{port}/query",
+                data=json.dumps({"kind": "winners"}).encode(),
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert excinfo.value.code == 500
+        assert json.loads(excinfo.value.read()) == {
+            "error": f"warehouse manifest {manifest_path(directory)} "
+            f"is not valid JSON: Expecting value: line 1 column 1 "
+            f"(char 0)"
+        }
+
+
+class TestFrameCacheSizing:
+    """An LRU smaller than the frame count must not thrash the reload."""
+
+    def test_reload_after_append_hits_every_old_frame(self, tmp_path):
+        (last,) = partly_published(tmp_path, frames=13, published=12)
+        service = QueryService(tmp_path)
+        assert service.cache.capacity < 12
+        service.execute({"kind": "winners"})
+        assert (service.cache.hits, service.cache.misses) == (0, 12)
+        append_shard_artifact(tmp_path, last)
+        service.execute({"kind": "winners"})
+        assert (service.cache.hits, service.cache.misses) == (12, 13)
+        assert service.cache.capacity == 13
 
 
 class TestRerankCache:

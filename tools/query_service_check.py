@@ -15,7 +15,9 @@ from scratch:
    WarehouseServer` on an ephemeral port, queried over actual HTTP;
 4. **replay scripted queries** — Pareto, winner counts, best
    candidate, re-ranks under three user weight vectors and a volume
-   sensitivity; every HTTP response body must be **byte-identical**
+   sensitivity, all on one HTTP/1.1 keep-alive connection (the way a
+   dashboard talks to the server); every HTTP response body must be
+   **byte-identical**
    to the envelope computed from a fresh serial
    :func:`~repro.gps.study.run_gps_sweep` (re-run with the query's
    weights where the query re-ranks).
@@ -26,11 +28,11 @@ off the scalar formula — fails the job.
 
 from __future__ import annotations
 
+import http.client
 import json
 import sys
 import tempfile
 import threading
-import urllib.request
 from pathlib import Path
 
 from repro.core.figure_of_merit import FomWeights
@@ -185,17 +187,27 @@ def main() -> int:
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
 
-    # 4. Replay the script, diffing every byte against ground truth.
+    # 4. Replay the script over one keep-alive connection, diffing
+    #    every byte against ground truth.
     failures = 0
+    connection = http.client.HTTPConnection(host, port, timeout=60)
     try:
         for name, request in SCRIPT:
-            http_request = urllib.request.Request(
-                f"http://{host}:{port}/query",
-                data=json.dumps(request).encode(),
+            connection.request(
+                "POST",
+                "/query",
+                body=json.dumps(request).encode(),
                 headers={"Content-Type": "application/json"},
             )
-            with urllib.request.urlopen(http_request) as response:
-                served = response.read()
+            response = connection.getresponse()
+            served = response.read()
+            if response.status != 200 or response.will_close:
+                failures += 1
+                print(
+                    f"FAIL {name}: HTTP {response.status}, "
+                    f"keep-alive {not response.will_close}"
+                )
+                continue
             expected = response_bytes(
                 expected_envelope(name, request, manifest)
             )
@@ -210,6 +222,7 @@ def main() -> int:
                 print(f"  served:   {served[:200]!r}")
                 print(f"  expected: {expected[:200]!r}")
     finally:
+        connection.close()
         server.shutdown()
         server.server_close()
 
